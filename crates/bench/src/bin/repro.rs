@@ -26,8 +26,27 @@ use gcgt_bench::experiments::{
     refs, serve, shard, table1, table3, ExperimentContext,
 };
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Every experiment name `repro` accepts.
+const EXPERIMENTS: &str = "table1 table3 fig8 fig9 fig11 fig12 fig13 fig14 fig15 ooc serve shard \
+                           direction decode ablations load chaos ref all bench-json trace";
+
+const USAGE: &str = "repro [EXPERIMENT...] [--scale F] [--sources N] [--smoke]";
+
+/// What a command line asks `repro` to do.
+#[derive(Debug, PartialEq)]
+enum Command {
+    Help,
+    Run {
+        scale: f64,
+        sources: usize,
+        wanted: Vec<String>,
+    },
+}
+
+/// Parses the arguments after the program name. Unknown experiment names,
+/// unknown flags and missing or malformed flag values are errors, so a typo
+/// never runs nothing and exits 0.
+fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut scale = 1.0f64;
     let mut sources = 3usize;
     let mut smoke = false;
@@ -39,26 +58,20 @@ fn main() {
                 scale = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--scale needs a float");
+                    .ok_or("--scale needs a float")?;
             }
             "--sources" => {
                 sources = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--sources needs an integer");
+                    .ok_or("--sources needs an integer")?;
             }
             "--smoke" => smoke = true,
-            "--help" | "-h" => {
-                println!(
-                    "repro [EXPERIMENT...] [--scale F] [--sources N] [--smoke]\n\
-                     experiments: table1 table3 fig8 fig9 fig11 fig12 fig13 fig14 fig15 ooc \
-                     serve shard direction decode ablations load chaos ref all\n\
-                     bench-json: run the suite and write the BENCH.json perf baseline\n\
-                     trace: run the observability smoke workload and write trace.json"
-                );
-                return;
+            "--help" | "-h" => return Ok(Command::Help),
+            name if EXPERIMENTS.split_whitespace().any(|e| e == name) => {
+                wanted.push(name.to_string());
             }
-            other => wanted.push(other.to_string()),
+            other => return Err(format!("unknown experiment or flag `{other}`")),
         }
     }
     // Smoke mode wins regardless of flag order, as the help text promises.
@@ -69,6 +82,35 @@ fn main() {
     if wanted.is_empty() {
         wanted.push("all".to_string());
     }
+    Ok(Command::Run {
+        scale,
+        sources,
+        wanted,
+    })
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (scale, sources, wanted) = match parse_args(&args) {
+        Ok(Command::Run {
+            scale,
+            sources,
+            wanted,
+        }) => (scale, sources, wanted),
+        Ok(Command::Help) => {
+            println!(
+                "{USAGE}\n\
+                 experiments: {EXPERIMENTS}\n\
+                 bench-json: run the suite and write the BENCH.json perf baseline\n\
+                 trace: run the observability smoke workload and write trace.json"
+            );
+            return;
+        }
+        Err(msg) => {
+            eprintln!("repro: {msg}\nusage: {USAGE}");
+            std::process::exit(2);
+        }
+    };
     let all = wanted.iter().any(|w| w == "all");
     let want = |name: &str| all || wanted.iter().any(|w| w == name);
 
@@ -102,28 +144,11 @@ fn main() {
             t.elapsed().as_secs_f64()
         );
     }
-    let needs_ctx = [
-        "table1",
-        "fig8",
-        "fig9",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "ooc",
-        "serve",
-        "shard",
-        "direction",
-        "decode",
-        "ablations",
-        "load",
-        "chaos",
-        "ref",
-        "bench-json",
-    ]
-    .iter()
-    .any(|e| wanted.iter().any(|w| w == e) || (all && *e != "bench-json"));
+    // Everything else builds the shared dataset context.
+    let needs_ctx = EXPERIMENTS
+        .split_whitespace()
+        .filter(|e| !["table3", "trace", "all"].contains(e))
+        .any(|e| wanted.iter().any(|w| w == e) || (all && e != "bench-json"));
     if !needs_ctx {
         return;
     }
@@ -183,5 +208,61 @@ fn main() {
             path.display(),
             t.elapsed().as_secs_f64()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Command, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn known_experiments_and_flags_parse() {
+        assert_eq!(
+            parse("fig8 fig9 --scale 0.05 --sources 1"),
+            Ok(Command::Run {
+                scale: 0.05,
+                sources: 1,
+                wanted: vec!["fig8".into(), "fig9".into()],
+            })
+        );
+        assert_eq!(
+            parse(""),
+            Ok(Command::Run {
+                scale: 1.0,
+                sources: 3,
+                wanted: vec!["all".into()],
+            })
+        );
+        assert_eq!(parse("ooc --help"), Ok(Command::Help));
+    }
+
+    #[test]
+    fn smoke_overrides_scale_and_sources_in_any_order() {
+        let want = Ok(Command::Run {
+            scale: Scale::TEST.0,
+            sources: 1,
+            wanted: vec!["trace".into()],
+        });
+        assert_eq!(parse("--smoke trace --scale 2 --sources 9"), want);
+        assert_eq!(parse("--scale 2 trace --smoke"), want);
+    }
+
+    #[test]
+    fn bad_arguments_are_errors() {
+        for line in [
+            "fig88",
+            "fig8 --bogus",
+            "fig8 --scale",
+            "--sources",
+            "--scale x",
+            "--sources -1",
+        ] {
+            assert!(parse(line).is_err(), "`{line}` must not parse");
+        }
     }
 }

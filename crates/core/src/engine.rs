@@ -1,8 +1,8 @@
 //! The expansion engine abstraction and the GCGT engine.
 //!
-//! Apps (BFS/CC/BC/PageRank) are generic over an [`Expander`]: something
-//! that can expand a warp-sized chunk of frontier nodes into `(u, v)` pairs
-//! on the simulated device. [`GcgtEngine`] expands compressed adjacency
+//! Apps (BFS/CC/BC/PageRank) run on any `&dyn` [`Expander`]: something that
+//! can expand a warp-sized chunk of frontier nodes into `(u, v)` pairs on
+//! the simulated device. [`GcgtEngine`] expands compressed adjacency
 //! (the paper's contribution); the `gcgt-baselines` crate provides CSR-based
 //! expanders (GPUCSR, Gunrock-style) over the *same* apps and cost model, so
 //! the comparison isolates exactly the decoding overhead the paper studies.
@@ -17,6 +17,10 @@ use crate::memory;
 use crate::strategy::{DirectionMode, Strategy};
 
 /// A device-resident graph structure that can expand frontier chunks.
+///
+/// The trait is object-safe — sinks arrive as `&mut dyn Sink` — so the
+/// session layer selects an engine at runtime as a `Box<dyn Expander>`, and
+/// the sharded engine holds its per-device engines the same way.
 ///
 /// `Send + Sync` is part of the contract: engines are shared across host
 /// warp threads within a launch (`Sync`) and handed to pool workers by the
@@ -77,7 +81,7 @@ pub trait Expander: Send + Sync {
     }
 
     /// Expands one warp's chunk of frontier nodes, feeding `sink`.
-    fn expand_chunk<S: Sink>(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut S);
+    fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink);
 
     /// Pull-mode expansion of one warp's chunk of **unvisited candidates**:
     /// for each candidate, find its first neighbour in `frontier` and push
@@ -149,201 +153,17 @@ pub trait Expander: Send + Sync {
     }
 }
 
-/// The object-safe face of [`Expander`], for runtime engine selection.
-///
-/// `Expander::expand_chunk` is generic over its [`Sink`], which rules out
-/// `dyn Expander`. This companion trait erases that generic behind a
-/// `&mut dyn Sink`, and is blanket-implemented for every `Expander` — so any
-/// engine (GCGT, the CSR baselines, user-defined ones) can be handled as a
-/// `&dyn DynExpander` with no per-call-site match ladders. The reverse
-/// direction also holds: `dyn DynExpander` implements `Expander`, so every
-/// generic app runs on a dynamically chosen engine unchanged.
-///
-/// `Send + Sync` supertraits make the *object* type thread-safe too:
-/// `dyn DynExpander` crosses worker-thread boundaries in the concurrent
-/// serving layer without per-call-site `+ Send + Sync` bounds.
-pub trait DynExpander: Send + Sync {
-    /// Node count of the resident graph (`dyn_`-prefixed so the blanket
-    /// impl never shadows the [`Expander`] inherent names at call sites).
-    fn dyn_num_nodes(&self) -> usize;
-
-    /// Edge count (see [`Expander::num_edges`]).
-    fn dyn_num_edges(&self) -> usize;
-
-    /// Out-degree of `u` (see [`Expander::out_degree`]).
-    fn dyn_out_degree(&self, u: NodeId) -> usize;
-
-    /// Expansion-direction policy (see [`Expander::direction`]).
-    fn dyn_direction(&self) -> DirectionMode;
-
-    /// The simulated device's configuration.
-    fn dyn_device_config(&self) -> &DeviceConfig;
-
-    /// Resident bytes (graph + traversal buffers) for OOM accounting.
-    fn dyn_footprint(&self) -> usize;
-
-    /// Query-invariant structure bytes (see [`Expander::structure_bytes`]).
-    fn dyn_structure_bytes(&self) -> usize;
-
-    /// Per-query scratch bytes (see [`Expander::scratch_bytes`]).
-    fn dyn_scratch_bytes(&self) -> usize;
-
-    /// Pre-launch residency hook (see [`Expander::prepare_frontier`]).
-    fn dyn_prepare_frontier(&self, device: &mut Device, frontier: &[NodeId]);
-
-    /// End-of-query residency release (see [`Expander::release_residency`]).
-    fn dyn_release_residency(&self, device: &mut Device);
-
-    /// Type-erased [`Expander::expand_chunk`].
-    fn expand_chunk_dyn(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink);
-
-    /// Type-erased [`Expander::pull_chunk`] (already object-safe — the
-    /// frontier and output are concrete types).
-    fn pull_chunk_dyn(
-        &self,
-        warp: &mut WarpSim,
-        chunk: &[NodeId],
-        frontier: &Frontier,
-        out: &mut Vec<(NodeId, NodeId)>,
-    ) -> u64;
-
-    /// Creates a per-run device with the graph resident (see
-    /// [`Expander::new_device`]).
-    fn dyn_new_device(&self) -> Device;
-}
-
-impl<E: Expander> DynExpander for E {
-    fn dyn_num_nodes(&self) -> usize {
-        Expander::num_nodes(self)
-    }
-
-    fn dyn_num_edges(&self) -> usize {
-        Expander::num_edges(self)
-    }
-
-    fn dyn_out_degree(&self, u: NodeId) -> usize {
-        Expander::out_degree(self, u)
-    }
-
-    fn dyn_direction(&self) -> DirectionMode {
-        Expander::direction(self)
-    }
-
-    fn dyn_device_config(&self) -> &DeviceConfig {
-        Expander::device_config(self)
-    }
-
-    fn dyn_footprint(&self) -> usize {
-        Expander::footprint(self)
-    }
-
-    fn dyn_structure_bytes(&self) -> usize {
-        Expander::structure_bytes(self)
-    }
-
-    fn dyn_scratch_bytes(&self) -> usize {
-        Expander::scratch_bytes(self)
-    }
-
-    fn dyn_prepare_frontier(&self, device: &mut Device, frontier: &[NodeId]) {
-        Expander::prepare_frontier(self, device, frontier);
-    }
-
-    fn dyn_release_residency(&self, device: &mut Device) {
-        Expander::release_residency(self, device);
-    }
-
-    fn expand_chunk_dyn(&self, warp: &mut WarpSim, chunk: &[NodeId], mut sink: &mut dyn Sink) {
-        Expander::expand_chunk(self, warp, chunk, &mut sink);
-    }
-
-    fn pull_chunk_dyn(
-        &self,
-        warp: &mut WarpSim,
-        chunk: &[NodeId],
-        frontier: &Frontier,
-        out: &mut Vec<(NodeId, NodeId)>,
-    ) -> u64 {
-        Expander::pull_chunk(self, warp, chunk, frontier, out)
-    }
-
-    fn dyn_new_device(&self) -> Device {
-        Expander::new_device(self)
-    }
-}
-
-impl Expander for dyn DynExpander + '_ {
-    fn num_nodes(&self) -> usize {
-        self.dyn_num_nodes()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.dyn_num_edges()
-    }
-
-    fn out_degree(&self, u: NodeId) -> usize {
-        self.dyn_out_degree(u)
-    }
-
-    fn direction(&self) -> DirectionMode {
-        self.dyn_direction()
-    }
-
-    fn device_config(&self) -> &DeviceConfig {
-        self.dyn_device_config()
-    }
-
-    fn footprint(&self) -> usize {
-        self.dyn_footprint()
-    }
-
-    fn structure_bytes(&self) -> usize {
-        self.dyn_structure_bytes()
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.dyn_scratch_bytes()
-    }
-
-    fn prepare_frontier(&self, device: &mut Device, frontier: &[NodeId]) {
-        self.dyn_prepare_frontier(device, frontier);
-    }
-
-    fn release_residency(&self, device: &mut Device) {
-        self.dyn_release_residency(device);
-    }
-
-    fn expand_chunk<S: Sink>(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut S) {
-        self.expand_chunk_dyn(warp, chunk, sink);
-    }
-
-    fn pull_chunk(
-        &self,
-        warp: &mut WarpSim,
-        chunk: &[NodeId],
-        frontier: &Frontier,
-        out: &mut Vec<(NodeId, NodeId)>,
-    ) -> u64 {
-        self.pull_chunk_dyn(warp, chunk, frontier, out)
-    }
-
-    fn new_device(&self) -> Device {
-        self.dyn_new_device()
-    }
-}
-
 /// Launches one expansion kernel over `frontier`: chunks it into warps, runs
 /// them host-parallel (deterministically merged in warp order), accounts the
 /// launch on `device`, and returns the per-warp sinks for the contraction
 /// merge.
-pub fn launch_expansion<E, S, F>(
-    expander: &E,
+pub fn launch_expansion<S, F>(
+    expander: &dyn Expander,
     device: &mut Device,
     frontier: &[NodeId],
     make_sink: F,
 ) -> Vec<S>
 where
-    E: Expander + ?Sized,
     S: Sink + Send,
     F: Fn() -> S + Sync,
 {
@@ -412,15 +232,12 @@ where
 /// holding the **candidates'** adjacency (not the frontier's), which is
 /// most of the structure on early dense levels — the residency tradeoff the
 /// adaptive heuristic's push levels avoid.
-pub fn launch_pull<E>(
-    expander: &E,
+pub fn launch_pull(
+    expander: &dyn Expander,
     device: &mut Device,
     candidates: &[NodeId],
     frontier: &Frontier,
-) -> (Vec<(NodeId, NodeId)>, u64)
-where
-    E: Expander + ?Sized,
-{
+) -> (Vec<(NodeId, NodeId)>, u64) {
     let obs_start = device.observer().is_some().then(|| device.modeled_ms());
     expander.prepare_frontier(device, candidates);
     let width = expander.device_config().warp_width;
@@ -549,7 +366,7 @@ impl Expander for GcgtEngine<'_> {
         memory::gcgt_structure_bytes(self.cgr)
     }
 
-    fn expand_chunk<S: Sink>(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut S) {
+    fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
         expand_warp(self.strategy, warp, self.cgr, chunk, sink);
     }
 

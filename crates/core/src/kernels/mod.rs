@@ -29,15 +29,6 @@ pub trait Sink {
     fn handle(&mut self, warp: &mut WarpSim, items: &[(NodeId, NodeId)]);
 }
 
-// Mutable references forward, so kernels can be fed a `&mut dyn Sink`
-// through the object-safe [`crate::engine::DynExpander`] dispatch layer.
-impl<S: Sink + ?Sized> Sink for &mut S {
-    #[inline]
-    fn handle(&mut self, warp: &mut WarpSim, items: &[(NodeId, NodeId)]) {
-        (**self).handle(warp, items);
-    }
-}
-
 /// Per-lane decoding cursor over the **unsegmented** CGR layout. It owns the
 /// bit pointer and the gap-decoding bookkeeping; kernels own the emission
 /// counters (how many neighbours are still due).
@@ -238,12 +229,12 @@ pub fn charge_ref_chase(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId]) {
 
 /// Expands one warp's frontier chunk under the given strategy, feeding every
 /// decoded neighbour to `sink`.
-pub fn expand_warp<S: Sink>(
+pub fn expand_warp(
     strategy: Strategy,
     warp: &mut WarpSim,
     cgr: &CgrGraph,
     chunk: &[NodeId],
-    sink: &mut S,
+    sink: &mut dyn Sink,
 ) {
     debug_assert_eq!(
         cgr.config().segment_len_bytes.is_some(),

@@ -170,7 +170,7 @@ impl Expander for OocEngine<'_> {
         }
     }
 
-    fn expand_chunk<S: Sink>(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut S) {
+    fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
         expand_warp(self.strategy, warp, self.cgr, chunk, sink);
     }
 

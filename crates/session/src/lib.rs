@@ -28,16 +28,19 @@
 //!
 //! Underneath, the session dispatches at runtime over the engines of the
 //! workspace — the GCGT compressed engine at any [`Strategy`], and the
-//! uncompressed `GPUCSR` / Gunrock-style baselines — through the object-safe
-//! [`DynExpander`] layer of `gcgt-core`, so adding an engine variant touches
-//! one `match` in this crate instead of every call site.
+//! uncompressed `GPUCSR` / Gunrock-style baselines — as a `Box<dyn`
+//! [`Expander`]`>`, so adding an engine variant touches one `match` in this
+//! crate instead of every call site.
 //!
-//! For serving-scale workloads, [`Session::run_batch`] executes many queries
-//! against **one device residency**: the graph is uploaded and allocated
-//! once, every query accounts on the same simulated device, and the
-//! [`BatchRun`] reports both per-query and aggregate statistics. This is the
-//! multi-source BFS/BC batching workload (EMOGI-style serving) the ROADMAP
-//! targets.
+//! A `Session` dereferences to its [`PreparedGraph`], so every accessor and
+//! both run methods are called on the session directly.
+//!
+//! For serving-scale workloads, [`PreparedGraph::run_batch`] executes many
+//! queries against **one device residency**: the graph is uploaded and
+//! allocated once, every query accounts on the same simulated device, and
+//! the [`BatchRun`] reports both per-query and aggregate statistics. This is
+//! the multi-source BFS/BC batching workload (EMOGI-style serving) the
+//! ROADMAP targets.
 //!
 //! ## Shared immutable graphs, per-worker execution
 //!
@@ -52,8 +55,8 @@
 //! what keeps fault statistics reproducible). Every query executes from
 //! the worker's post-upload
 //! baseline on a fresh accounting view, so its output **and** its
-//! [`RunStats`] are bitwise identical to a serial [`Session::run`] — worker
-//! count and scheduling can never change a simulated number.
+//! [`RunStats`] are bitwise identical to a serial [`PreparedGraph::run`] —
+//! worker count and scheduling can never change a simulated number.
 //!
 //! ```
 //! use gcgt_graph::gen::toys;
@@ -142,7 +145,7 @@ use std::sync::Arc;
 
 use gcgt_baselines::{GpuCsrEngine, GunrockEngine};
 use gcgt_cgr::{CgrConfig, CgrGraph};
-use gcgt_core::{memory, Algorithm, DynExpander, GcgtEngine, Strategy};
+use gcgt_core::{memory, Algorithm, Expander, GcgtEngine, Strategy};
 use gcgt_graph::{Csr, NodeId, Reordering};
 use gcgt_ooc::{OocEngine, PartitionMap};
 use gcgt_shard::{ShardEngine, ShardOocParams};
@@ -1007,29 +1010,6 @@ struct ShardPlanData {
     interconnect: InterconnectConfig,
 }
 
-/// The runtime-selected engine, borrowing the prepared graph's structures.
-/// All apps reach it as a `&dyn DynExpander`; this enum is the only place
-/// in the workspace that matches over engine kinds.
-enum EngineHolder<'s> {
-    Gcgt(GcgtEngine<'s>),
-    GpuCsr(GpuCsrEngine<'s>),
-    Gunrock(GunrockEngine<'s>),
-    Ooc(OocEngine<'s>),
-    Sharded(ShardEngine<'s>),
-}
-
-impl EngineHolder<'_> {
-    fn as_dyn(&self) -> &dyn DynExpander {
-        match self {
-            EngineHolder::Gcgt(e) => e,
-            EngineHolder::GpuCsr(e) => e,
-            EngineHolder::Gunrock(e) => e,
-            EngineHolder::Ooc(e) => e,
-            EngineHolder::Sharded(e) => e,
-        }
-    }
-}
-
 impl PreparedGraph {
     /// The engine kind this prepared graph drives.
     pub fn kind(&self) -> EngineKind {
@@ -1176,10 +1156,11 @@ impl PreparedGraph {
     /// structure. Cheap: engines borrow the graph; only per-engine mutable
     /// state (the out-of-core partition cache) is constructed fresh — which
     /// is exactly why engines are built per query or per worker, never
-    /// shared.
-    fn engine(&self) -> EngineHolder<'_> {
+    /// shared. This is the only place in the workspace that matches over
+    /// engine kinds.
+    fn engine(&self) -> Box<dyn Expander + '_> {
         match self.kind {
-            EngineKind::Gcgt(strategy) => EngineHolder::Gcgt(
+            EngineKind::Gcgt(strategy) => Box::new(
                 GcgtEngine::new(
                     self.cgr.as_ref().expect("GCGT session always encodes"),
                     self.device_config,
@@ -1188,12 +1169,12 @@ impl PreparedGraph {
                 .expect("capacity verified at build time")
                 .with_direction(self.direction),
             ),
-            EngineKind::GpuCsr => EngineHolder::GpuCsr(
+            EngineKind::GpuCsr => Box::new(
                 GpuCsrEngine::new(&self.graph, self.device_config)
                     .expect("capacity verified at build time")
                     .with_direction(self.direction),
             ),
-            EngineKind::Gunrock => EngineHolder::Gunrock(
+            EngineKind::Gunrock => Box::new(
                 GunrockEngine::new(&self.graph, self.device_config)
                     .expect("capacity verified at build time")
                     .with_direction(self.direction),
@@ -1202,12 +1183,12 @@ impl PreparedGraph {
                 let cgr = self.cgr.as_ref().expect("OutOfCore session always encodes");
                 match &self.ooc {
                     // The graph fits: identical to the in-core engine.
-                    None => EngineHolder::Gcgt(
+                    None => Box::new(
                         GcgtEngine::new(cgr, self.device_config, inner)
                             .expect("capacity verified at build time")
                             .with_direction(self.direction),
                     ),
-                    Some(plan) => EngineHolder::Ooc(
+                    Some(plan) => Box::new(
                         OocEngine::new(
                             cgr,
                             &plan.parts,
@@ -1278,7 +1259,7 @@ impl PreparedGraph {
                         }
                     }
                 };
-                EngineHolder::Sharded(engine.with_direction(self.direction))
+                Box::new(engine.with_direction(self.direction))
             }
         }
     }
@@ -1318,9 +1299,8 @@ impl PreparedGraph {
     /// Out-of-core batches also share one partition cache, so later queries
     /// hit partitions earlier ones faulted.
     pub fn run_batch<A: Algorithm>(&self, queries: &[A]) -> BatchRun<A::Output> {
-        let holder = self.engine();
-        let engine = holder.as_dyn();
-        let mut device = engine.dyn_new_device();
+        let engine = self.engine();
+        let mut device = engine.new_device();
         if let Some(observer) = &self.observer {
             device.set_observer(observer.clone());
         }
@@ -1333,7 +1313,7 @@ impl PreparedGraph {
         let mut per_query = Vec::with_capacity(queries.len());
         for query in queries {
             let before = device.stats();
-            let output = self.remap(query.clone()).execute(engine, &mut device);
+            let output = self.remap(query.clone()).execute(&*engine, &mut device);
             per_query.push(device.stats().since(&before));
             outputs.push(self.unpermute::<A>(output));
         }
@@ -1375,8 +1355,7 @@ impl<'p> Executor<'p> {
     /// shared [`DeviceConfig`] and makes the structure resident (paying
     /// [`Executor::upload_ms`] once).
     pub fn new(prepared: &'p PreparedGraph) -> Self {
-        let holder = prepared.engine();
-        let mut device = holder.as_dyn().dyn_new_device();
+        let mut device = prepared.engine().new_device();
         if let Some(observer) = prepared.observer() {
             device.set_observer(observer.clone());
         }
@@ -1453,18 +1432,17 @@ impl<'p> Executor<'p> {
     /// retry budget, corrupt payload at first touch) — the serving pool
     /// catches both and maps them to per-query errors.
     pub fn run<A: Algorithm>(&mut self, algo: A) -> Run<A::Output> {
-        let holder = self.prepared.engine();
-        let engine = holder.as_dyn();
+        let engine = self.prepared.engine();
         let mut device = self.device.query_view();
         if device.inject_query_fault() {
             gcgt_simt::chaos::raise(TypedFailure::InjectedQueryFailure);
         }
-        let output = self.prepared.remap(algo).execute(engine, &mut device);
+        let output = self.prepared.remap(algo).execute(&*engine, &mut device);
         let stats = device.stats();
         // Release what the query held beyond the structure (streamed
         // partitions; scratch was already freed by the app) so the next
         // query starts from the same baseline this one did.
-        engine.dyn_release_residency(&mut device);
+        engine.release_residency(&mut device);
         debug_assert_eq!(
             device.allocated(),
             self.baseline,
@@ -1507,112 +1485,15 @@ impl Session {
     pub fn executor(&self) -> Executor<'_> {
         Executor::new(&self.prepared)
     }
+}
 
-    /// The engine kind this session drives.
-    pub fn kind(&self) -> EngineKind {
-        self.prepared.kind()
-    }
+/// Every [`PreparedGraph`] accessor, [`PreparedGraph::run`] and
+/// [`PreparedGraph::run_batch`] are reached through the session directly.
+impl std::ops::Deref for Session {
+    type Target = PreparedGraph;
 
-    /// The effective frontier-expansion direction — see
-    /// [`PreparedGraph::direction`].
-    pub fn direction(&self) -> DirectionMode {
-        self.prepared.direction()
-    }
-
-    /// The simulated device configuration.
-    pub fn device_config(&self) -> &DeviceConfig {
-        self.prepared.device_config()
-    }
-
-    /// The preprocessed graph the engine traverses (post symmetrize /
-    /// reorder — internal id space).
-    pub fn graph(&self) -> &Csr {
-        self.prepared.graph()
-    }
-
-    /// Node count (identical in original and internal id spaces).
-    pub fn num_nodes(&self) -> usize {
-        self.prepared.num_nodes()
-    }
-
-    /// The id mapping applied by reordering (`perm[original] = internal`),
-    /// when one was requested.
-    pub fn permutation(&self) -> Option<&[NodeId]> {
-        self.prepared.permutation()
-    }
-
-    /// The encoded compressed graph (GCGT engines only).
-    pub fn cgr(&self) -> Option<&CgrGraph> {
-        self.prepared.cgr()
-    }
-
-    /// Resident bytes of the engine's structure plus traversal buffers —
-    /// see [`PreparedGraph::footprint`].
-    pub fn footprint(&self) -> usize {
-        self.prepared.footprint()
-    }
-
-    /// The query-invariant structure bytes — see
-    /// [`PreparedGraph::structure_bytes`].
-    pub fn structure_bytes(&self) -> usize {
-        self.prepared.structure_bytes()
-    }
-
-    /// The effective device-byte ceiling of this session.
-    pub fn memory_budget(&self) -> usize {
-        self.prepared.memory_budget()
-    }
-
-    /// Whether runs stream compressed partitions over the link.
-    pub fn is_streaming(&self) -> bool {
-        self.prepared.is_streaming()
-    }
-
-    /// The number of compressed partitions a streaming session rotates
-    /// through (`None` when the graph fits in-core).
-    pub fn num_partitions(&self) -> Option<usize> {
-        self.prepared.num_partitions()
-    }
-
-    /// How many modeled devices a sharded session places the graph onto
-    /// (`None` for single-device sessions).
-    pub fn num_shards(&self) -> Option<usize> {
-        self.prepared.num_shards()
-    }
-
-    /// The shard placement of a sharded session (`None` for single-device
-    /// sessions).
-    pub fn shard_plan(&self) -> Option<&ShardPlan> {
-        self.prepared.shard_plan()
-    }
-
-    /// The device↔device link a sharded session exchanges frontiers over
-    /// (`None` for single-device sessions).
-    pub fn interconnect(&self) -> Option<InterconnectConfig> {
-        self.prepared.interconnect()
-    }
-
-    /// Compression rate of the resident structure relative to a 32-bit
-    /// edge list (GCGT engines; CSR engines report 1.0).
-    pub fn compression_rate(&self) -> f64 {
-        self.prepared.compression_rate()
-    }
-
-    /// Host→device time to make the structure resident — see
-    /// [`PreparedGraph::upload_ms`].
-    pub fn upload_ms(&self) -> f64 {
-        self.prepared.upload_ms()
-    }
-
-    /// Runs one application — see [`PreparedGraph::run`].
-    pub fn run<A: Algorithm>(&self, algo: A) -> Run<A::Output> {
-        self.prepared.run(algo)
-    }
-
-    /// Runs many queries against one device residency — see
-    /// [`PreparedGraph::run_batch`].
-    pub fn run_batch<A: Algorithm>(&self, queries: &[A]) -> BatchRun<A::Output> {
-        self.prepared.run_batch(queries)
+    fn deref(&self) -> &PreparedGraph {
+        &self.prepared
     }
 }
 

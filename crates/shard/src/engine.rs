@@ -74,15 +74,6 @@ pub struct ShardOocParams<'g> {
     pub cache_budget: usize,
 }
 
-enum InnerHolder<'g> {
-    Gcgt(GcgtEngine<'g>),
-    GpuCsr(GpuCsrEngine<'g>),
-    Gunrock(GunrockEngine<'g>),
-    /// One streaming engine per shard, each with a private partition cache
-    /// under the per-device budget.
-    Ooc(Vec<OocEngine<'g>>),
-}
-
 /// A sharded traversal engine: N modeled devices, each expanding its owned
 /// slice of every frontier, exchanging boundary discoveries as frontier
 /// bitmaps between steps. Implements [`Expander`], so all applications and
@@ -92,7 +83,10 @@ pub struct ShardEngine<'g> {
     plan: &'g ShardPlan,
     interconnect: InterconnectConfig,
     direction: DirectionMode,
-    inner: InnerHolder<'g>,
+    /// The engines behind the devices: one shared engine for the in-core
+    /// kinds, one streaming engine per device (each with a private
+    /// partition cache under the per-device budget) for out-of-core.
+    shards: Vec<Box<dyn Expander + 'g>>,
 }
 
 impl<'g> ShardEngine<'g> {
@@ -111,7 +105,7 @@ impl<'g> ShardEngine<'g> {
             plan,
             interconnect,
             direction: DirectionMode::Push,
-            inner: InnerHolder::Gcgt(GcgtEngine::new(cgr, device_config, strategy)?),
+            shards: vec![Box::new(GcgtEngine::new(cgr, device_config, strategy)?)],
         })
     }
 
@@ -127,7 +121,7 @@ impl<'g> ShardEngine<'g> {
             plan,
             interconnect,
             direction: DirectionMode::Push,
-            inner: InnerHolder::GpuCsr(GpuCsrEngine::new(graph, device_config)?),
+            shards: vec![Box::new(GpuCsrEngine::new(graph, device_config)?)],
         })
     }
 
@@ -143,7 +137,7 @@ impl<'g> ShardEngine<'g> {
             plan,
             interconnect,
             direction: DirectionMode::Push,
-            inner: InnerHolder::Gunrock(GunrockEngine::new(graph, device_config)?),
+            shards: vec![Box::new(GunrockEngine::new(graph, device_config)?)],
         })
     }
 
@@ -163,9 +157,9 @@ impl<'g> ShardEngine<'g> {
                 capacity: p.device_config.mem_capacity,
             });
         }
-        let engines = (0..devices)
+        let shards = (0..devices)
             .map(|_| {
-                OocEngine::new(
+                let engine = OocEngine::new(
                     p.cgr,
                     p.parts,
                     p.device_config,
@@ -173,15 +167,16 @@ impl<'g> ShardEngine<'g> {
                     p.pcie,
                     p.config,
                     p.cache_budget,
-                )
+                )?;
+                Ok(Box::new(engine) as Box<dyn Expander + 'g>)
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<_, OomError>>()?;
         Ok(Self {
             graph: p.graph,
             plan: p.plan,
             interconnect: p.interconnect,
             direction: DirectionMode::Push,
-            inner: InnerHolder::Ooc(engines),
+            shards,
         })
     }
 
@@ -266,30 +261,15 @@ impl<'g> ShardEngine<'g> {
 
 impl Expander for ShardEngine<'_> {
     fn num_nodes(&self) -> usize {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.num_nodes(),
-            InnerHolder::GpuCsr(e) => e.num_nodes(),
-            InnerHolder::Gunrock(e) => e.num_nodes(),
-            InnerHolder::Ooc(v) => v[0].num_nodes(),
-        }
+        self.shards[0].num_nodes()
     }
 
     fn num_edges(&self) -> usize {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.num_edges(),
-            InnerHolder::GpuCsr(e) => e.num_edges(),
-            InnerHolder::Gunrock(e) => e.num_edges(),
-            InnerHolder::Ooc(v) => v[0].num_edges(),
-        }
+        self.shards[0].num_edges()
     }
 
     fn out_degree(&self, u: NodeId) -> usize {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.out_degree(u),
-            InnerHolder::GpuCsr(e) => e.out_degree(u),
-            InnerHolder::Gunrock(e) => e.out_degree(u),
-            InnerHolder::Ooc(v) => v[0].out_degree(u),
-        }
+        self.shards[0].out_degree(u)
     }
 
     fn direction(&self) -> DirectionMode {
@@ -297,49 +277,33 @@ impl Expander for ShardEngine<'_> {
     }
 
     fn device_config(&self) -> &DeviceConfig {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.device_config(),
-            InnerHolder::GpuCsr(e) => e.device_config(),
-            InnerHolder::Gunrock(e) => e.device_config(),
-            InnerHolder::Ooc(v) => v[0].device_config(),
-        }
+        self.shards[0].device_config()
     }
 
     fn footprint(&self) -> usize {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.footprint(),
-            InnerHolder::GpuCsr(e) => e.footprint(),
-            InnerHolder::Gunrock(e) => e.footprint(),
-            InnerHolder::Ooc(v) => v[0].footprint(),
-        }
+        self.shards[0].footprint()
     }
 
     fn structure_bytes(&self) -> usize {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.structure_bytes(),
-            InnerHolder::GpuCsr(e) => e.structure_bytes(),
-            InnerHolder::Gunrock(e) => e.structure_bytes(),
-            InnerHolder::Ooc(v) => v[0].structure_bytes(),
-        }
+        self.shards[0].structure_bytes()
     }
 
     fn prepare_frontier(&self, device: &mut Device, work: &[NodeId]) {
-        // Residency first: each streaming shard faults the partitions its
-        // owned slice of the work list needs, in shard order (serial, hence
-        // deterministic). One shard degenerates to the serial streaming
-        // engine bit-for-bit.
-        if let InnerHolder::Ooc(engines) = &self.inner {
-            if self.plan.devices() == 1 {
-                engines[0].prepare_frontier(device, work);
-            } else {
-                let mut owned: Vec<Vec<NodeId>> = vec![Vec::new(); self.plan.devices()];
-                for &u in work {
-                    owned[self.plan.owner_of(u)].push(u);
-                }
-                for (s, nodes) in owned.iter().enumerate() {
-                    if !nodes.is_empty() {
-                        engines[s].prepare_frontier(device, nodes);
-                    }
+        // Residency first: with one engine per device, each faults the
+        // partitions its owned slice of the work list needs, in shard order
+        // (serial, hence deterministic). A single engine sees the whole
+        // list: a no-op in-core, and bit-for-bit the serial streaming
+        // engine for one streaming device.
+        if let [engine] = self.shards.as_slice() {
+            engine.prepare_frontier(device, work);
+        } else {
+            let mut owned: Vec<Vec<NodeId>> = vec![Vec::new(); self.shards.len()];
+            for &u in work {
+                owned[self.plan.owner_of(u)].push(u);
+            }
+            for (engine, nodes) in self.shards.iter().zip(&owned) {
+                if !nodes.is_empty() {
+                    engine.prepare_frontier(device, nodes);
                 }
             }
         }
@@ -347,13 +311,8 @@ impl Expander for ShardEngine<'_> {
         self.charge_step(device, work);
     }
 
-    fn expand_chunk<S: Sink>(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut S) {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.expand_chunk(warp, chunk, sink),
-            InnerHolder::GpuCsr(e) => e.expand_chunk(warp, chunk, sink),
-            InnerHolder::Gunrock(e) => e.expand_chunk(warp, chunk, sink),
-            InnerHolder::Ooc(v) => v[0].expand_chunk(warp, chunk, sink),
-        }
+    fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
+        self.shards[0].expand_chunk(warp, chunk, sink);
     }
 
     fn pull_chunk(
@@ -363,19 +322,12 @@ impl Expander for ShardEngine<'_> {
         frontier: &Frontier,
         out: &mut Vec<(NodeId, NodeId)>,
     ) -> u64 {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.pull_chunk(warp, chunk, frontier, out),
-            InnerHolder::GpuCsr(e) => e.pull_chunk(warp, chunk, frontier, out),
-            InnerHolder::Gunrock(e) => e.pull_chunk(warp, chunk, frontier, out),
-            InnerHolder::Ooc(v) => v[0].pull_chunk(warp, chunk, frontier, out),
-        }
+        self.shards[0].pull_chunk(warp, chunk, frontier, out)
     }
 
     fn release_residency(&self, device: &mut Device) {
-        if let InnerHolder::Ooc(engines) = &self.inner {
-            for e in engines {
-                e.release_residency(device);
-            }
+        for engine in &self.shards {
+            engine.release_residency(device);
         }
     }
 }

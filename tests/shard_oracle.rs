@@ -214,32 +214,41 @@ fn streaming_shards_match_serial_streaming_under_per_device_budgets() {
         .build()
         .unwrap();
     assert!(serial.is_streaming());
-    let sharded = Session::builder()
-        .graph(g.clone())
-        .device(device)
-        .memory_budget(budget)
-        .engine(EngineKind::OutOfCore {
-            inner: Strategy::Full,
-        })
-        .shards(4)
-        .build()
-        .expect("aggregate of four per-device caches fits the pool");
-    assert!(sharded.is_streaming());
-    for query in [
-        Query::Bfs(0),
-        Query::Cc,
-        Query::Pagerank(Pagerank::default()),
-    ] {
-        let want = serial.run(query);
-        let got = sharded.run(query);
-        assert_same_answer(&got.output, &want.output, "streaming shards");
-        // Decode cost-attribution survives the composition: streaming and
-        // sharding both leave the modeled kernel time untouched.
-        assert_eq!(got.stats.est_ms.to_bits(), want.stats.est_ms.to_bits());
-        assert_eq!(got.stats.launches, want.stats.launches);
-        assert!(got.stats.partition_faults > 0, "shards never faulted");
-        assert!(got.stats.transfer_ms > 0.0);
-        assert!(got.stats.exchange_ms > 0.0);
+    for devices in [1, 4] {
+        let sharded = Session::builder()
+            .graph(g.clone())
+            .device(device)
+            .memory_budget(budget)
+            .engine(EngineKind::OutOfCore {
+                inner: Strategy::Full,
+            })
+            .shards(devices)
+            .build()
+            .expect("aggregate of the per-device caches fits the pool");
+        assert!(sharded.is_streaming());
+        for query in [
+            Query::Bfs(0),
+            Query::Cc,
+            Query::Pagerank(Pagerank::default()),
+        ] {
+            let want = serial.run(query);
+            let got = sharded.run(query);
+            let ctx = format!("{devices} streaming shard(s), {query:?}");
+            assert_same_answer(&got.output, &want.output, &ctx);
+            if devices == 1 {
+                // One streaming shard is the serial streaming engine: same
+                // faults, transfers and kernel time, and no exchange.
+                assert_eq!(got.stats, want.stats, "{ctx}");
+                continue;
+            }
+            // Decode cost-attribution survives the composition: streaming
+            // and sharding both leave the modeled kernel time untouched.
+            assert_eq!(got.stats.est_ms.to_bits(), want.stats.est_ms.to_bits());
+            assert_eq!(got.stats.launches, want.stats.launches);
+            assert!(got.stats.partition_faults > 0, "shards never faulted");
+            assert!(got.stats.transfer_ms > 0.0);
+            assert!(got.stats.exchange_ms > 0.0);
+        }
     }
 }
 
