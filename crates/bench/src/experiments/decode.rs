@@ -68,9 +68,8 @@ impl ModeledRow {
     }
 }
 
-/// The shared residual-gap workload ([`residual_gap_values`] — the same
-/// stream the `crates/bits/benches/codes.rs` criterion bench measures),
-/// encoded under `code`.
+/// The shared residual-gap workload ([`residual_gap_values`]), encoded
+/// under `code`.
 fn gap_stream(code: Code, n: usize) -> BitVec {
     let mut w = BitWriter::new();
     for v in residual_gap_values(n) {
@@ -270,7 +269,7 @@ mod tests {
     fn host_rows_cover_the_figure11_codes() {
         // Wall-clock ratios are machine-dependent, so only shape and
         // plausibility are asserted here; the ≥2x zeta3 bar is checked by
-        // the release-mode criterion bench and the repro run.
+        // the release-mode repro run.
         let ctx = ExperimentContext::new(Scale::TEST, 1);
         let rows = host_rows(&ctx);
         assert_eq!(rows.len(), Code::FIGURE11_SWEEP.len());

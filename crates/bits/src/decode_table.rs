@@ -41,10 +41,9 @@ const TABLE_LEN: usize = 1 << WINDOW_BITS;
 
 /// The shared residual-gap benchmark workload: `n` values shaped like an
 /// LLP-reordered CGR residual area (overwhelmingly small gaps, a tail of
-/// longer jumps). The `crates/bits/benches/codes.rs` criterion bench and
-/// the `repro -- decode` experiment both measure the table-vs-slow-path
-/// speedup on **this** distribution, so the ≥2× ζ3 acceptance bar means
-/// the same thing in both places — keep them on this one generator.
+/// longer jumps). The `repro -- decode` experiment measures the
+/// table-vs-slow-path speedup on **this** distribution, so the ≥2× ζ3
+/// acceptance bar always means the same workload.
 pub fn residual_gap_values(n: usize) -> Vec<u64> {
     (0..n as u64)
         .map(|i| {

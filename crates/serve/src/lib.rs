@@ -251,7 +251,7 @@ mod tests {
             report.outputs[0],
             Err(QueryError::SourceOutOfRange { source: bad, nodes })
         );
-        assert_eq!(report.per_query[0], gcgt_simt::RunStats::zeroed());
+        assert_eq!(report.per_query[0], gcgt_simt::RunStats::default());
         assert_eq!(report.stats.latency_ms[0], 0.0);
         for (i, q) in queries.iter().enumerate().skip(1) {
             assert_eq!(report.outputs[i], Ok(p.run(*q).output), "query {i}");

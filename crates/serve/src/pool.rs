@@ -74,7 +74,7 @@ pub struct ServeReport<T> {
     /// Per-query simulated statistics, in submission order — bitwise
     /// identical to serial execution (scheduling never changes simulated
     /// work). Slots whose query produced no output hold
-    /// [`RunStats::zeroed`].
+    /// [`RunStats::default`].
     pub per_query: Vec<RunStats>,
     /// Which worker really executed each query (`0` for queries that never
     /// dispatched). Scheduling-dependent (like the per-worker
@@ -189,7 +189,7 @@ impl ServePool {
             executable.push((index, query.clone()));
         }
 
-        let mut per_query = vec![RunStats::zeroed(); total];
+        let mut per_query = vec![RunStats::default(); total];
         let mut assigned = vec![0usize; total];
         let mut workers: Vec<WorkerReport>;
         if executable.is_empty() {

@@ -358,24 +358,10 @@ mod tests {
     fn rs(est: f64, transfer: f64, exchange: f64) -> RunStats {
         RunStats {
             est_ms: est,
-            cycles: 0.0,
             launches: 1,
-            tally: gcgt_simt::Tally::default(),
-            mem: gcgt_simt::MemStats::default(),
-            allocated_bytes: 0,
-            partition_faults: 0,
-            partition_evictions: 0,
             transfer_ms: transfer,
-            push_steps: 0,
-            pull_steps: 0,
-            pushed_edges: 0,
-            pulled_edges: 0,
             exchange_ms: exchange,
-            boundary_nodes: 0,
-            sync_steps: 0,
-            faults_injected: 0,
-            retries: 0,
-            backoff_ms: 0.0,
+            ..RunStats::default()
         }
     }
 

@@ -148,14 +148,14 @@ use gcgt_cgr::{CgrConfig, CgrGraph};
 use gcgt_core::{memory, Algorithm, Expander, GcgtEngine, Strategy};
 use gcgt_graph::{Csr, NodeId, Reordering};
 use gcgt_ooc::{OocEngine, PartitionMap};
-use gcgt_shard::{ShardEngine, ShardOocParams};
+use gcgt_shard::ShardEngine;
 use gcgt_simt::{Device, DeviceConfig, OomError, PcieConfig, RunStats};
 
 pub use gcgt_core::{
     Bc, Bfs, Cc, DirectionMode, LabelProp, Pagerank, Query, QueryOutput, PULL_ALPHA,
 };
 pub use gcgt_ooc::OocConfig;
-pub use gcgt_shard::{ShardInner, ShardPlan};
+pub use gcgt_shard::ShardPlan;
 pub use gcgt_simt::{
     FaultDomain, FaultPlan, FaultRate, InterconnectConfig, Observer, ObserverHandle, RetryPolicy,
     TypedFailure,
@@ -181,20 +181,6 @@ pub enum EngineKind {
         /// resident.
         inner: Strategy,
     },
-    /// Sharded multi-device traversal: the graph is placed onto `devices`
-    /// modeled GPUs as contiguous node-aligned shards, every frontier step
-    /// runs owner-computes with an all-to-all boundary-bitmap exchange over
-    /// the session's [`InterconnectConfig`], and each shard runs the given
-    /// inner engine. Outputs and kernel-side [`RunStats`] stay bitwise
-    /// identical to the serial engine at any device count; the exchange is
-    /// reported in `RunStats::{exchange_ms, boundary_nodes, sync_steps}`.
-    /// Usually reached through [`SessionBuilder::shards`].
-    Sharded {
-        /// The engine running inside each shard.
-        inner: ShardInner,
-        /// How many modeled devices the graph is placed onto (≥ 1).
-        devices: usize,
-    },
 }
 
 impl EngineKind {
@@ -212,56 +198,14 @@ impl EngineKind {
             EngineKind::GpuCsr => "GPUCSR",
             EngineKind::Gunrock => "Gunrock",
             EngineKind::OutOfCore { .. } => "GCGT-OOC",
-            EngineKind::Sharded { inner, .. } => match inner {
-                ShardInner::Gcgt(_) => "GCGT-Shard",
-                ShardInner::OutOfCore(_) => "GCGT-OOC-Shard",
-                ShardInner::GpuCsr => "GPUCSR-Shard",
-                ShardInner::Gunrock => "Gunrock-Shard",
-            },
         }
     }
 
-    /// The strategy, when this is a GCGT engine (in-core, out-of-core, or
-    /// either inside shards).
+    /// The strategy, when this is a GCGT engine (in-core or out-of-core).
     pub fn strategy(&self) -> Option<Strategy> {
         match self {
             EngineKind::Gcgt(s) | EngineKind::OutOfCore { inner: s } => Some(*s),
-            EngineKind::Sharded {
-                inner: ShardInner::Gcgt(s) | ShardInner::OutOfCore(s),
-                ..
-            } => Some(*s),
             _ => None,
-        }
-    }
-
-    /// This engine placed onto `devices` modeled GPUs: wraps the kind into
-    /// [`EngineKind::Sharded`] (re-sharding an already sharded kind just
-    /// changes the device count).
-    #[must_use]
-    pub fn sharded(self, devices: usize) -> EngineKind {
-        let inner = match self {
-            EngineKind::Gcgt(s) => ShardInner::Gcgt(s),
-            EngineKind::GpuCsr => ShardInner::GpuCsr,
-            EngineKind::Gunrock => ShardInner::Gunrock,
-            EngineKind::OutOfCore { inner } => ShardInner::OutOfCore(inner),
-            EngineKind::Sharded { inner, .. } => inner,
-        };
-        EngineKind::Sharded { inner, devices }
-    }
-
-    /// The engine kind running inside each shard — `self` for non-sharded
-    /// kinds. This is what encoding, footprints and capacity checks key
-    /// off: sharding changes placement and exchange accounting, never the
-    /// structure.
-    pub fn inner_kind(&self) -> EngineKind {
-        match *self {
-            EngineKind::Sharded { inner, .. } => match inner {
-                ShardInner::Gcgt(s) => EngineKind::Gcgt(s),
-                ShardInner::OutOfCore(s) => EngineKind::OutOfCore { inner: s },
-                ShardInner::GpuCsr => EngineKind::GpuCsr,
-                ShardInner::Gunrock => EngineKind::Gunrock,
-            },
-            k => k,
         }
     }
 
@@ -547,10 +491,13 @@ impl SessionBuilder {
         self
     }
 
-    /// Shards the selected engine across `devices` modeled GPUs
-    /// (wrapping whatever [`SessionBuilder::engine`] picked into
-    /// [`EngineKind::Sharded`]). Outputs stay bitwise identical to the
-    /// single-device run; the per-step frontier exchange is charged into
+    /// Shards the selected engine across `devices` modeled GPUs: the graph
+    /// is placed as contiguous node-aligned shards, and every frontier step
+    /// runs owner-computes around whatever [`SessionBuilder::engine`]
+    /// picked, with an all-to-all boundary-bitmap exchange over the
+    /// [`SessionBuilder::interconnect`] link. Outputs and kernel-side
+    /// [`RunStats`] stay bitwise identical to the single-device run; the
+    /// per-step frontier exchange is charged into
     /// `RunStats::{exchange_ms, boundary_nodes, sync_steps}`. With
     /// [`EngineKind::OutOfCore`], [`SessionBuilder::memory_budget`] becomes
     /// the **per-device** budget and the aggregate residency is verified
@@ -564,8 +511,7 @@ impl SessionBuilder {
 
     /// The device↔device link model of a sharded session's frontier
     /// exchange (defaults to [`InterconnectConfig::nvlink`]). Only
-    /// meaningful with [`SessionBuilder::shards`] /
-    /// [`EngineKind::Sharded`].
+    /// meaningful with [`SessionBuilder::shards`].
     #[must_use]
     pub fn interconnect(mut self, link: InterconnectConfig) -> Self {
         self.interconnect = Some(link);
@@ -635,14 +581,9 @@ impl SessionBuilder {
                 return conflict("reorder(..)");
             }
         }
-        let mut kind = self.engine.unwrap_or(EngineKind::Gcgt(Strategy::Full));
-        if let Some(devices) = self.shards {
-            kind = kind.sharded(devices);
-        }
-        if let EngineKind::Sharded { devices, .. } = kind {
-            if devices == 0 {
-                return Err(SessionError::ZeroShards);
-            }
+        let kind = self.engine.unwrap_or(EngineKind::Gcgt(Strategy::Full));
+        if self.shards == Some(0) {
+            return Err(SessionError::ZeroShards);
         }
         // --- input + CSR mirror ---
         // The mirror decodes every adjacency, so a deferred-validation load
@@ -654,8 +595,10 @@ impl SessionBuilder {
         // the mirror simply skips it and the touching query fails with a
         // typed `CorruptGraph` instead of the build. If that build later
         // turns out not to stream (everything fits → in-core decode of the
-        // full payload), the recorded corruption fails it below.
-        let lazy_ooc = matches!(kind, EngineKind::OutOfCore { .. });
+        // full payload), the recorded corruption fails it below. Sharded
+        // streaming stays eager: its exchange accounting reads the mirror's
+        // adjacency, which a skipped region would silently falsify.
+        let lazy_ooc = matches!(kind, EngineKind::OutOfCore { .. }) && self.shards.is_none();
         let mut mirror_corrupt: Option<String> = None;
         let input = match &self.compressed {
             Some(cgr) if lazy_ooc => {
@@ -680,10 +623,6 @@ impl SessionBuilder {
                 return Err(SessionError::CorruptGraph(msg.clone()));
             }
         }
-        // Everything structural (encoding, footprints, capacity) keys off
-        // the engine running inside each shard; sharding only adds
-        // placement and exchange accounting on top.
-        let base = kind.inner_kind();
         let device_config = self.device.unwrap_or_default();
         let pcie = self.pcie.unwrap_or_default();
 
@@ -721,7 +660,7 @@ impl SessionBuilder {
         };
 
         // --- encoding + footprint ---
-        let (cgr, footprint, structure) = match base {
+        let (cgr, footprint, structure) = match kind {
             EngineKind::Gcgt(strategy) | EngineKind::OutOfCore { inner: strategy } => {
                 // A pre-encoded graph skips the encode; its baked-in config
                 // faces the same layout check an explicit compress(..) does.
@@ -764,7 +703,7 @@ impl SessionBuilder {
                 if self.compress.is_some() || self.compressed.is_some() {
                     return Err(SessionError::CompressUnsupported { engine: kind });
                 }
-                let (footprint, structure) = match base {
+                let (footprint, structure) = match kind {
                     EngineKind::GpuCsr => (
                         memory::csr_footprint(&graph),
                         memory::csr_structure_bytes(&graph),
@@ -776,7 +715,6 @@ impl SessionBuilder {
                 };
                 (None, footprint, structure)
             }
-            EngineKind::Sharded { .. } => unreachable!("inner_kind is never sharded"),
         };
 
         // --- capacity / budget check (the OOM bars of Figures 8 and 15) ---
@@ -793,7 +731,7 @@ impl SessionBuilder {
             });
             probe.alloc(footprint)
         };
-        let ooc = match (base, fits) {
+        let ooc = match (kind, fits) {
             // Everything fits: out-of-core sessions degenerate to the
             // in-core engine and behave identically to `Gcgt(inner)`.
             (_, Ok(())) => None,
@@ -804,7 +742,7 @@ impl SessionBuilder {
                 // shard's scratch + cache must fit the one modeled memory
                 // pool together (the cache faults unconditionally once
                 // admitted, so this has to hold up front).
-                if let EngineKind::Sharded { devices, .. } = kind {
+                if let Some(devices) = self.shards {
                     let scratch = memory::traversal_buffers_bytes(cgr.num_nodes());
                     let aggregate = scratch + devices * plan.cache_budget;
                     if aggregate > device_config.mem_capacity {
@@ -830,16 +768,13 @@ impl SessionBuilder {
 
         // --- shard placement (balanced over the bytes the inner engine
         // actually keeps resident: compressed for GCGT, CSR otherwise) ---
-        let shard = match kind {
-            EngineKind::Sharded { devices, .. } => Some(ShardPlanData {
-                plan: match &cgr {
-                    Some(cgr) => ShardPlan::build(cgr, devices),
-                    None => ShardPlan::build_csr(&graph, devices),
-                },
-                interconnect: self.interconnect.unwrap_or_default(),
-            }),
-            _ => None,
-        };
+        let shard = self.shards.map(|devices| ShardPlanData {
+            plan: match &cgr {
+                Some(cgr) => ShardPlan::build(cgr, devices),
+                None => ShardPlan::build_csr(&graph, devices),
+            },
+            interconnect: self.interconnect.unwrap_or_default(),
+        });
 
         Ok(PreparedGraph {
             kind,
@@ -1011,7 +946,10 @@ struct ShardPlanData {
 }
 
 impl PreparedGraph {
-    /// The engine kind this prepared graph drives.
+    /// The engine kind this prepared graph drives on each device. Sharding
+    /// is placement, not a kind: a sharded session reports the engine its
+    /// shards run here and its device count in
+    /// [`PreparedGraph::num_shards`].
     pub fn kind(&self) -> EngineKind {
         self.kind
     }
@@ -1113,7 +1051,8 @@ impl PreparedGraph {
     }
 
     /// How many modeled devices a sharded session places the graph onto
-    /// (`None` for single-device sessions).
+    /// (`None` for single-device sessions). The engine each device runs is
+    /// [`PreparedGraph::kind`].
     pub fn num_shards(&self) -> Option<usize> {
         self.shard.as_ref().map(|s| s.plan.devices())
     }
@@ -1157,111 +1096,62 @@ impl PreparedGraph {
     /// state (the out-of-core partition cache) is constructed fresh — which
     /// is exactly why engines are built per query or per worker, never
     /// shared. This is the only place in the workspace that matches over
-    /// engine kinds.
+    /// engine kinds. A sharded session wraps the engine in a
+    /// [`ShardEngine`]: one engine shared by every device in-core, one
+    /// streaming engine (each with a private partition cache) per device.
     fn engine(&self) -> Box<dyn Expander + '_> {
-        match self.kind {
-            EngineKind::Gcgt(strategy) => Box::new(
-                GcgtEngine::new(
-                    self.cgr.as_ref().expect("GCGT session always encodes"),
-                    self.device_config,
-                    strategy,
-                )
-                .expect("capacity verified at build time")
-                .with_direction(self.direction),
-            ),
-            EngineKind::GpuCsr => Box::new(
-                GpuCsrEngine::new(&self.graph, self.device_config)
-                    .expect("capacity verified at build time")
-                    .with_direction(self.direction),
-            ),
-            EngineKind::Gunrock => Box::new(
-                GunrockEngine::new(&self.graph, self.device_config)
-                    .expect("capacity verified at build time")
-                    .with_direction(self.direction),
-            ),
-            EngineKind::OutOfCore { inner } => {
-                let cgr = self.cgr.as_ref().expect("OutOfCore session always encodes");
-                match &self.ooc {
-                    // The graph fits: identical to the in-core engine.
-                    None => Box::new(
-                        GcgtEngine::new(cgr, self.device_config, inner)
-                            .expect("capacity verified at build time")
-                            .with_direction(self.direction),
-                    ),
-                    Some(plan) => Box::new(
-                        OocEngine::new(
-                            cgr,
-                            &plan.parts,
-                            self.device_config,
-                            inner,
-                            self.pcie,
-                            plan.config,
-                            plan.cache_budget,
-                        )
-                        .expect("budget verified at build time")
-                        .with_direction(self.direction),
-                    ),
-                }
-            }
-            EngineKind::Sharded { inner, .. } => {
-                let sharding = self.shard.as_ref().expect("sharded session always plans");
-                let engine = match inner {
-                    ShardInner::Gcgt(strategy) => ShardEngine::gcgt(
-                        self.cgr.as_ref().expect("GCGT shards always encode"),
-                        &self.graph,
-                        &sharding.plan,
-                        sharding.interconnect,
+        let build = || -> Box<dyn Expander + '_> {
+            match (self.kind, &self.ooc) {
+                // An out-of-core graph that fits runs the in-core engine.
+                (EngineKind::Gcgt(strategy), _)
+                | (EngineKind::OutOfCore { inner: strategy }, None) => Box::new(
+                    GcgtEngine::new(
+                        self.cgr.as_ref().expect("GCGT sessions always encode"),
                         self.device_config,
                         strategy,
                     )
-                    .expect("capacity verified at build time"),
-                    ShardInner::GpuCsr => ShardEngine::gpu_csr(
-                        &self.graph,
-                        &sharding.plan,
-                        sharding.interconnect,
+                    .expect("capacity verified at build time")
+                    .with_direction(self.direction),
+                ),
+                (EngineKind::OutOfCore { inner }, Some(plan)) => Box::new(
+                    OocEngine::new(
+                        self.cgr.as_ref().expect("OutOfCore sessions always encode"),
+                        &plan.parts,
                         self.device_config,
+                        inner,
+                        self.pcie,
+                        plan.config,
+                        plan.cache_budget,
                     )
-                    .expect("capacity verified at build time"),
-                    ShardInner::Gunrock => ShardEngine::gunrock(
-                        &self.graph,
-                        &sharding.plan,
-                        sharding.interconnect,
-                        self.device_config,
-                    )
-                    .expect("capacity verified at build time"),
-                    ShardInner::OutOfCore(strategy) => {
-                        let cgr = self.cgr.as_ref().expect("OutOfCore shards always encode");
-                        match &self.ooc {
-                            // The graph fits every device: each shard runs
-                            // in-core; exchange accounting still applies.
-                            None => ShardEngine::gcgt(
-                                cgr,
-                                &self.graph,
-                                &sharding.plan,
-                                sharding.interconnect,
-                                self.device_config,
-                                strategy,
-                            )
-                            .expect("capacity verified at build time"),
-                            Some(plan) => ShardEngine::out_of_core(ShardOocParams {
-                                cgr,
-                                graph: &self.graph,
-                                plan: &sharding.plan,
-                                parts: &plan.parts,
-                                interconnect: sharding.interconnect,
-                                device_config: self.device_config,
-                                strategy,
-                                pcie: self.pcie,
-                                config: plan.config,
-                                cache_budget: plan.cache_budget,
-                            })
-                            .expect("budget verified at build time"),
-                        }
-                    }
-                };
-                Box::new(engine.with_direction(self.direction))
+                    .expect("budget verified at build time")
+                    .with_direction(self.direction),
+                ),
+                (EngineKind::GpuCsr, _) => Box::new(
+                    GpuCsrEngine::new(&self.graph, self.device_config)
+                        .expect("capacity verified at build time")
+                        .with_direction(self.direction),
+                ),
+                (EngineKind::Gunrock, _) => Box::new(
+                    GunrockEngine::new(&self.graph, self.device_config)
+                        .expect("capacity verified at build time")
+                        .with_direction(self.direction),
+                ),
             }
-        }
+        };
+        let Some(sharding) = &self.shard else {
+            return build();
+        };
+        let engines = if self.is_streaming() {
+            sharding.plan.devices()
+        } else {
+            1
+        };
+        Box::new(ShardEngine::new(
+            &self.graph,
+            &sharding.plan,
+            sharding.interconnect,
+            (0..engines).map(|_| build()).collect(),
+        ))
     }
 
     fn remap<A: Algorithm>(&self, algo: A) -> A {
@@ -2008,27 +1898,29 @@ mod tests {
 
     #[test]
     fn sharded_kind_names_strategies_and_wrapping() {
-        let kind = EngineKind::Gcgt(Strategy::Full).sharded(4);
-        assert_eq!(kind.name(), "GCGT-Shard");
-        assert_eq!(kind.strategy(), Some(Strategy::Full));
-        assert_eq!(kind.inner_kind(), EngineKind::Gcgt(Strategy::Full));
-        // Re-sharding only changes the device count.
-        assert_eq!(
-            kind.sharded(2),
-            EngineKind::Sharded {
-                inner: ShardInner::Gcgt(Strategy::Full),
-                devices: 2
-            }
+        // Sharding is placement: `kind()` is the per-device engine,
+        // `num_shards()` the device count.
+        let shard = |kind: EngineKind, devices: usize| {
+            Session::builder()
+                .graph(toys::grid(12, 12))
+                .engine(kind)
+                .shards(devices)
+                .build()
+                .unwrap()
+        };
+        let session = shard(EngineKind::Gcgt(Strategy::Full), 4);
+        assert_eq!(session.kind(), EngineKind::Gcgt(Strategy::Full));
+        assert_eq!(session.kind().strategy(), Some(Strategy::Full));
+        assert_eq!(session.num_shards(), Some(4));
+        let ooc = shard(
+            EngineKind::OutOfCore {
+                inner: Strategy::TwoPhase,
+            },
+            2,
         );
-        let ooc = EngineKind::OutOfCore {
-            inner: Strategy::TwoPhase,
-        }
-        .sharded(2);
-        assert_eq!(ooc.name(), "GCGT-OOC-Shard");
-        assert_eq!(ooc.strategy(), Some(Strategy::TwoPhase));
-        assert_eq!(EngineKind::GpuCsr.sharded(2).name(), "GPUCSR-Shard");
-        assert_eq!(EngineKind::Gunrock.sharded(2).name(), "Gunrock-Shard");
-        assert_eq!(EngineKind::GpuCsr.sharded(2).strategy(), None);
+        assert_eq!(ooc.kind().strategy(), Some(Strategy::TwoPhase));
+        assert_eq!(ooc.num_shards(), Some(2));
+        assert_eq!(shard(EngineKind::GpuCsr, 2).kind().strategy(), None);
     }
 
     #[test]

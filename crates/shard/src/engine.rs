@@ -22,57 +22,12 @@
 //! streamed transfer time. Results stay comparable, overheads stay
 //! attributable.
 
-use gcgt_baselines::{GpuCsrEngine, GunrockEngine};
-use gcgt_cgr::CgrGraph;
 use gcgt_core::kernels::Sink;
-use gcgt_core::{DirectionMode, Expander, Frontier, GcgtEngine, Strategy};
+use gcgt_core::{DirectionMode, Expander, Frontier};
 use gcgt_graph::{Csr, NodeId};
-use gcgt_ooc::{OocConfig, OocEngine, PartitionMap};
-use gcgt_simt::{Device, DeviceConfig, InterconnectConfig, OomError, PcieConfig, WarpSim};
+use gcgt_simt::{Device, DeviceConfig, InterconnectConfig, WarpSim};
 
 use crate::plan::ShardPlan;
-
-/// The engine running inside each shard of a sharded session — the `Copy`
-/// selector the session layer embeds in `EngineKind::Sharded`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ShardInner {
-    /// Compressed GCGT traversal, in-core per device.
-    Gcgt(Strategy),
-    /// Compressed GCGT traversal streaming through a per-device memory
-    /// budget (each shard runs its own partition cache).
-    OutOfCore(Strategy),
-    /// The uncompressed GPUCSR baseline.
-    GpuCsr,
-    /// The Gunrock-style uncompressed baseline.
-    Gunrock,
-}
-
-/// Everything a sharded **streaming** engine needs — bundled because the
-/// out-of-core constructor wires two layers of partitioning (the coarse
-/// device placement and the fine streaming partitions) plus both link
-/// models.
-pub struct ShardOocParams<'g> {
-    /// The compressed graph.
-    pub cgr: &'g CgrGraph,
-    /// The uncompressed adjacency, for ownership and boundary discovery.
-    pub graph: &'g Csr,
-    /// The device placement.
-    pub plan: &'g ShardPlan,
-    /// The fine streaming partitions every shard's cache draws from.
-    pub parts: &'g PartitionMap,
-    /// Device↔device link for the frontier exchange.
-    pub interconnect: InterconnectConfig,
-    /// Per-device simulator configuration.
-    pub device_config: DeviceConfig,
-    /// Decode strategy inside each shard.
-    pub strategy: Strategy,
-    /// Host link streaming partitions fault over.
-    pub pcie: PcieConfig,
-    /// Streaming knobs (chunking, overlap).
-    pub config: OocConfig,
-    /// Partition-cache byte budget **per device**.
-    pub cache_budget: usize,
-}
 
 /// A sharded traversal engine: N modeled devices, each expanding its owned
 /// slice of every frontier, exchanging boundary discoveries as frontier
@@ -82,7 +37,6 @@ pub struct ShardEngine<'g> {
     graph: &'g Csr,
     plan: &'g ShardPlan,
     interconnect: InterconnectConfig,
-    direction: DirectionMode,
     /// The engines behind the devices: one shared engine for the in-core
     /// kinds, one streaming engine per device (each with a private
     /// partition cache under the per-device budget) for out-of-core.
@@ -90,104 +44,36 @@ pub struct ShardEngine<'g> {
 }
 
 impl<'g> ShardEngine<'g> {
-    /// A sharded in-core compressed engine. Fails when graph plus traversal
-    /// buffers exceed the reference device's capacity.
-    pub fn gcgt(
-        cgr: &'g CgrGraph,
+    /// Places engines the caller built onto `plan`'s devices: one engine
+    /// shared by every device (the in-core kinds), or one per device
+    /// (streaming engines, each faulting the partitions its owned slice of
+    /// the work list needs). `graph` is the uncompressed adjacency the
+    /// boundary exchange is discovered from. The direction policy is the
+    /// first engine's; pull composes with sharding by ownership of the
+    /// **candidate scan**: a pull step's work list is the unvisited
+    /// candidates, each scanned by its owning shard, with remote parents
+    /// learned through the same bitmap exchange.
+    ///
+    /// # Panics
+    /// Panics unless `shards` holds one engine or `plan.devices()` engines.
+    pub fn new(
         graph: &'g Csr,
         plan: &'g ShardPlan,
         interconnect: InterconnectConfig,
-        device_config: DeviceConfig,
-        strategy: Strategy,
-    ) -> Result<Self, OomError> {
-        Ok(Self {
+        shards: Vec<Box<dyn Expander + 'g>>,
+    ) -> Self {
+        assert!(
+            shards.len() == 1 || shards.len() == plan.devices(),
+            "{} engines for {} devices",
+            shards.len(),
+            plan.devices()
+        );
+        Self {
             graph,
             plan,
             interconnect,
-            direction: DirectionMode::Push,
-            shards: vec![Box::new(GcgtEngine::new(cgr, device_config, strategy)?)],
-        })
-    }
-
-    /// A sharded GPUCSR baseline engine.
-    pub fn gpu_csr(
-        graph: &'g Csr,
-        plan: &'g ShardPlan,
-        interconnect: InterconnectConfig,
-        device_config: DeviceConfig,
-    ) -> Result<Self, OomError> {
-        Ok(Self {
-            graph,
-            plan,
-            interconnect,
-            direction: DirectionMode::Push,
-            shards: vec![Box::new(GpuCsrEngine::new(graph, device_config)?)],
-        })
-    }
-
-    /// A sharded Gunrock-style baseline engine.
-    pub fn gunrock(
-        graph: &'g Csr,
-        plan: &'g ShardPlan,
-        interconnect: InterconnectConfig,
-        device_config: DeviceConfig,
-    ) -> Result<Self, OomError> {
-        Ok(Self {
-            graph,
-            plan,
-            interconnect,
-            direction: DirectionMode::Push,
-            shards: vec![Box::new(GunrockEngine::new(graph, device_config)?)],
-        })
-    }
-
-    /// A sharded **streaming** engine: every shard runs its own partition
-    /// cache under `cache_budget` bytes. Fails when one cache cannot hold
-    /// the largest partition, or when the traversal scratch plus the
-    /// *aggregate* of all per-shard caches exceeds device capacity — the
-    /// caches coexist on the reference device, so the aggregate must be
-    /// verified up front (partition faults inside a run are infallible).
-    pub fn out_of_core(p: ShardOocParams<'g>) -> Result<Self, OomError> {
-        let scratch = gcgt_core::memory::traversal_buffers_bytes(p.cgr.num_nodes());
-        let devices = p.plan.devices();
-        let aggregate = scratch + devices * p.cache_budget;
-        if aggregate > p.device_config.mem_capacity {
-            return Err(OomError {
-                requested: aggregate,
-                capacity: p.device_config.mem_capacity,
-            });
-        }
-        let shards = (0..devices)
-            .map(|_| {
-                let engine = OocEngine::new(
-                    p.cgr,
-                    p.parts,
-                    p.device_config,
-                    p.strategy,
-                    p.pcie,
-                    p.config,
-                    p.cache_budget,
-                )?;
-                Ok(Box::new(engine) as Box<dyn Expander + 'g>)
-            })
-            .collect::<Result<_, OomError>>()?;
-        Ok(Self {
-            graph: p.graph,
-            plan: p.plan,
-            interconnect: p.interconnect,
-            direction: DirectionMode::Push,
             shards,
-        })
-    }
-
-    /// Sets the expansion-direction policy. Pull composes with sharding by
-    /// ownership of the **candidate scan**: a pull step's work list is the
-    /// unvisited candidates, each scanned by its owning shard, with remote
-    /// parents learned through the same bitmap exchange.
-    #[must_use]
-    pub fn with_direction(mut self, direction: DirectionMode) -> Self {
-        self.direction = direction;
-        self
+        }
     }
 
     /// The device placement.
@@ -273,7 +159,7 @@ impl Expander for ShardEngine<'_> {
     }
 
     fn direction(&self) -> DirectionMode {
-        self.direction
+        self.shards[0].direction()
     }
 
     fn device_config(&self) -> &DeviceConfig {
@@ -335,8 +221,8 @@ impl Expander for ShardEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcgt_cgr::CgrConfig;
-    use gcgt_core::bfs;
+    use gcgt_cgr::{CgrConfig, CgrGraph};
+    use gcgt_core::{bfs, GcgtEngine, Strategy};
     use gcgt_graph::gen::{web_graph, WebParams};
 
     fn fixture() -> (Csr, CgrGraph) {
@@ -348,6 +234,17 @@ mod tests {
 
     fn device() -> DeviceConfig {
         DeviceConfig::titan_v_scaled(64 << 20)
+    }
+
+    /// One in-core GCGT engine shared by every device of `plan`.
+    fn shard_gcgt<'g>(cgr: &'g CgrGraph, g: &'g Csr, plan: &'g ShardPlan) -> ShardEngine<'g> {
+        let engine = GcgtEngine::new(cgr, device(), Strategy::Full).unwrap();
+        ShardEngine::new(
+            g,
+            plan,
+            InterconnectConfig::nvlink(),
+            vec![Box::new(engine)],
+        )
     }
 
     #[test]
@@ -362,15 +259,7 @@ mod tests {
         };
         for devices in [1, 2, 4, 8] {
             let plan = ShardPlan::build(&cgr, devices);
-            let sharded = ShardEngine::gcgt(
-                &cgr,
-                &g,
-                &plan,
-                InterconnectConfig::nvlink(),
-                device(),
-                Strategy::Full,
-            )
-            .unwrap();
+            let sharded = shard_gcgt(&cgr, &g, &plan);
             let got = bfs(&sharded, 0);
             assert_eq!(got.depth, want.depth, "{devices} devices");
             assert_eq!(got.reached, want.reached);
@@ -401,15 +290,7 @@ mod tests {
         let (g, cgr) = fixture();
         let boundary = |devices: usize| {
             let plan = ShardPlan::build(&cgr, devices);
-            let e = ShardEngine::gcgt(
-                &cgr,
-                &g,
-                &plan,
-                InterconnectConfig::nvlink(),
-                device(),
-                Strategy::Full,
-            )
-            .unwrap();
+            let e = shard_gcgt(&cgr, &g, &plan);
             let mut dev = e.new_device();
             let _ = gcgt_core::bfs_in(&e, &mut dev, 0);
             dev.stats().boundary_nodes
@@ -421,40 +302,16 @@ mod tests {
     }
 
     #[test]
-    fn streaming_shards_verify_aggregate_capacity() {
+    #[should_panic(expected = "2 engines for 4 devices")]
+    fn engine_count_must_be_one_or_one_per_device() {
         let (g, cgr) = fixture();
-        let plan = ShardPlan::build(&cgr, 8);
-        let parts = PartitionMap::build(&cgr, 1 << 10);
-        let scratch = gcgt_core::memory::traversal_buffers_bytes(cgr.num_nodes());
-        let cache_budget = parts.max_partition_bytes().max(1 << 10);
-        // Eight caches would overflow a device sized for about two.
-        let tight = DeviceConfig::titan_v_scaled(scratch + 2 * cache_budget);
-        let err = ShardEngine::out_of_core(ShardOocParams {
-            cgr: &cgr,
-            graph: &g,
-            plan: &plan,
-            parts: &parts,
-            interconnect: InterconnectConfig::nvlink(),
-            device_config: tight,
-            strategy: Strategy::Full,
-            pcie: PcieConfig::default(),
-            config: OocConfig::default(),
-            cache_budget,
-        });
-        assert!(err.is_err());
-        let roomy = DeviceConfig::titan_v_scaled(scratch + 8 * cache_budget);
-        let ok = ShardEngine::out_of_core(ShardOocParams {
-            cgr: &cgr,
-            graph: &g,
-            plan: &plan,
-            parts: &parts,
-            interconnect: InterconnectConfig::nvlink(),
-            device_config: roomy,
-            strategy: Strategy::Full,
-            pcie: PcieConfig::default(),
-            config: OocConfig::default(),
-            cache_budget,
-        });
-        assert!(ok.is_ok());
+        let plan = ShardPlan::build(&cgr, 4);
+        let engines: Vec<Box<dyn Expander + '_>> = (0..2)
+            .map(|_| {
+                Box::new(GcgtEngine::new(&cgr, device(), Strategy::Full).unwrap())
+                    as Box<dyn Expander + '_>
+            })
+            .collect();
+        let _ = ShardEngine::new(&g, &plan, InterconnectConfig::nvlink(), engines);
     }
 }

@@ -4,9 +4,10 @@
 //! scaling axis of the reproduction. A [`ShardPlan`] places contiguous,
 //! node-aligned slices of the graph onto N modeled GPUs (reusing the
 //! out-of-core partitioner for the compressed cut); a [`ShardEngine`]
-//! runs any inner engine — in-core GCGT, the CSR baselines, or streaming
-//! out-of-core under a per-device budget — as an owner-computes
-//! bulk-synchronous loop. Every step, each shard expands exactly the
+//! wraps any engine the caller built — in-core GCGT, the CSR baselines
+//! (one engine shared by every device), or streaming out-of-core (one
+//! engine per device, each under a per-device budget) — into an
+//! owner-computes bulk-synchronous loop. Every step, each shard expands exactly the
 //! frontier nodes it owns; discoveries of remotely-owned nodes are
 //! exchanged as per-destination dense frontier bitmaps over a modeled
 //! [`gcgt_simt::InterconnectConfig`] (NVLink or PCIe peer links).
@@ -22,5 +23,5 @@
 pub mod engine;
 pub mod plan;
 
-pub use engine::{ShardEngine, ShardInner, ShardOocParams};
+pub use engine::ShardEngine;
 pub use plan::{Shard, ShardPlan};

@@ -203,24 +203,10 @@ pub struct IterationCost {
 #[derive(Clone, Debug)]
 pub struct Device {
     config: DeviceConfig,
-    cycles: f64,
-    launches: u64,
-    tally: Tally,
-    mem: MemStats,
+    /// Every accumulated counter; [`Device::stats`] fills in `est_ms` and
+    /// `allocated_bytes`.
+    stats: RunStats,
     allocated: usize,
-    partition_faults: u64,
-    partition_evictions: u64,
-    transfer_ms: f64,
-    push_steps: u64,
-    pull_steps: u64,
-    pushed_edges: u64,
-    pulled_edges: u64,
-    exchange_ms: f64,
-    boundary_nodes: u64,
-    sync_steps: u64,
-    faults_injected: u64,
-    retries: u64,
-    backoff_ms: f64,
     observer: Option<ObserverHandle>,
     track: u64,
     fault_plan: Option<FaultPlan>,
@@ -232,24 +218,11 @@ impl Device {
     pub fn new(config: DeviceConfig) -> Self {
         Self {
             config,
-            cycles: 0.0,
-            launches: 0,
-            tally: Tally::new(config.warp_width),
-            mem: MemStats::default(),
+            stats: RunStats {
+                tally: Tally::new(config.warp_width),
+                ..RunStats::default()
+            },
             allocated: 0,
-            partition_faults: 0,
-            partition_evictions: 0,
-            transfer_ms: 0.0,
-            push_steps: 0,
-            pull_steps: 0,
-            pushed_edges: 0,
-            pulled_edges: 0,
-            exchange_ms: 0.0,
-            boundary_nodes: 0,
-            sync_steps: 0,
-            faults_injected: 0,
-            retries: 0,
-            backoff_ms: 0.0,
             observer: None,
             track: 0,
             fault_plan: None,
@@ -333,7 +306,7 @@ impl Device {
         let mut failures: u32 = 0;
         while chaos.should_fail(domain) {
             failures += 1;
-            self.faults_injected += 1;
+            self.stats.faults_injected += 1;
             if failures > retry.max_attempts {
                 if let Some(obs) = &self.observer {
                     obs.fault(&FaultEvent {
@@ -352,13 +325,13 @@ impl Device {
                 });
             }
             let backoff = retry.backoff_ms(failures);
-            self.retries += 1;
-            self.backoff_ms += backoff;
+            self.stats.retries += 1;
+            self.stats.backoff_ms += backoff;
             let charge = backoff + wasted_ms;
             if domain == FaultDomain::Exchange {
-                self.exchange_ms += charge;
+                self.stats.exchange_ms += charge;
             } else {
-                self.transfer_ms += charge;
+                self.stats.transfer_ms += charge;
             }
             if let Some(obs) = &self.observer {
                 obs.fault(&FaultEvent {
@@ -385,7 +358,7 @@ impl Device {
             None => false,
         };
         if fail {
-            self.faults_injected += 1;
+            self.stats.faults_injected += 1;
             if let Some(obs) = &self.observer {
                 obs.fault(&FaultEvent {
                     track: self.track,
@@ -410,7 +383,7 @@ impl Device {
     /// charges. Every trace-event timestamp derives from this — never from
     /// host wall-clock — which is what makes traces bitwise reproducible.
     pub fn modeled_ms(&self) -> f64 {
-        self.elapsed_ms() + self.transfer_ms + self.exchange_ms
+        self.elapsed_ms() + self.stats.transfer_ms + self.stats.exchange_ms
     }
 
     /// Registers a resident allocation (graph, frontier buffers, platform
@@ -494,29 +467,29 @@ impl Device {
     /// Records one out-of-core partition fault whose upload stalled the run
     /// for `transfer_ms` milliseconds of host-link time (post-overlap).
     pub fn charge_partition_fault(&mut self, transfer_ms: f64) {
-        self.partition_faults += 1;
-        self.transfer_ms += transfer_ms;
+        self.stats.partition_faults += 1;
+        self.stats.transfer_ms += transfer_ms;
     }
 
     /// Records one out-of-core partition eviction.
     pub fn charge_partition_eviction(&mut self) {
-        self.partition_evictions += 1;
+        self.stats.partition_evictions += 1;
     }
 
     /// Records one push-mode (frontier out-edge) expansion level that
     /// expanded `edges` candidate pairs — direction-optimizing BFS
     /// observability ([`RunStats::push_steps`] / [`RunStats::pushed_edges`]).
     pub fn charge_push_step(&mut self, edges: u64) {
-        self.push_steps += 1;
-        self.pushed_edges += edges;
+        self.stats.push_steps += 1;
+        self.stats.pushed_edges += edges;
     }
 
     /// Records one pull-mode (unvisited in-edge scan) expansion level that
     /// examined `edges` compressed neighbours before early exit
     /// ([`RunStats::pull_steps`] / [`RunStats::pulled_edges`]).
     pub fn charge_pull_step(&mut self, edges: u64) {
-        self.pull_steps += 1;
-        self.pulled_edges += edges;
+        self.stats.pull_steps += 1;
+        self.stats.pulled_edges += edges;
     }
 
     /// Records one bulk-synchronous frontier exchange that moved boundary
@@ -526,14 +499,14 @@ impl Device {
     /// out-of-core transfer charge this is host-side accounting: it never
     /// touches the estimated kernel time.
     pub fn charge_exchange(&mut self, exchange_ms: f64, boundary_nodes: u64) {
-        self.exchange_ms += exchange_ms;
-        self.boundary_nodes += boundary_nodes;
+        self.stats.exchange_ms += exchange_ms;
+        self.stats.boundary_nodes += boundary_nodes;
     }
 
     /// Records one bulk-synchronous step barrier of a sharded run
     /// ([`RunStats::sync_steps`]).
     pub fn charge_sync_step(&mut self) {
-        self.sync_steps += 1;
+        self.stats.sync_steps += 1;
     }
 
     /// Folds one kernel launch into the running cost.
@@ -550,16 +523,16 @@ impl Device {
         // The busiest single warp floors the launch: a kernel cannot finish
         // before its critical-path warp does.
         let launch_cycles = compute.max(memory).max(atomics).max(cost.max_warp_cycles);
-        self.cycles += launch_cycles;
-        self.launches += 1;
-        self.tally.merge(&cost.tally);
-        self.mem.merge(&cost.mem);
+        self.stats.cycles += launch_cycles;
+        self.stats.launches += 1;
+        self.stats.tally.merge(&cost.tally);
+        self.stats.mem.merge(&cost.mem);
         if let (Some(obs), Some(start_ms)) = (&self.observer, start_ms) {
             obs.launch(&LaunchEvent {
                 track: self.track,
                 start_ms,
                 end_ms: self.modeled_ms(),
-                launch: self.launches,
+                launch: self.stats.launches,
                 warps: cost.warps as u64,
                 cycles: launch_cycles,
                 classes: self.config.class_breakdown(&cost.tally),
@@ -570,32 +543,16 @@ impl Device {
     /// Estimated elapsed milliseconds so far (cycles / clock + launch
     /// overheads).
     pub fn elapsed_ms(&self) -> f64 {
-        self.cycles / (self.config.clock_ghz * 1e6)
-            + self.launches as f64 * self.config.launch_overhead_us / 1e3
+        self.stats.cycles / (self.config.clock_ghz * 1e6)
+            + self.stats.launches as f64 * self.config.launch_overhead_us / 1e3
     }
 
     /// Snapshot of every counter.
     pub fn stats(&self) -> RunStats {
         RunStats {
             est_ms: self.elapsed_ms(),
-            cycles: self.cycles,
-            launches: self.launches,
-            tally: self.tally,
-            mem: self.mem,
             allocated_bytes: self.allocated,
-            partition_faults: self.partition_faults,
-            partition_evictions: self.partition_evictions,
-            transfer_ms: self.transfer_ms,
-            push_steps: self.push_steps,
-            pull_steps: self.pull_steps,
-            pushed_edges: self.pushed_edges,
-            pulled_edges: self.pulled_edges,
-            exchange_ms: self.exchange_ms,
-            boundary_nodes: self.boundary_nodes,
-            sync_steps: self.sync_steps,
-            faults_injected: self.faults_injected,
-            retries: self.retries,
-            backoff_ms: self.backoff_ms,
+            ..self.stats
         }
     }
 }
@@ -606,7 +563,11 @@ impl Device {
 /// fields — the simulator is bit-deterministic, so two runs of the same
 /// query on the same starting state compare equal. The concurrency suite
 /// relies on this to prove scheduling never changes simulated work.
-#[derive(Clone, Copy, Debug, PartialEq)]
+///
+/// `RunStats::default()` is all zeros: what a query that never executed
+/// reports (the serving pool fills shed and failed submission slots with
+/// it, so the per-query vector keeps its submission-order shape).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RunStats {
     /// Estimated elapsed time, milliseconds.
     pub est_ms: f64,
@@ -673,33 +634,6 @@ impl RunStats {
     /// Instruction slots per class, for reporting.
     pub fn issues_by_class(&self) -> [u64; NUM_CLASSES] {
         self.tally.issues
-    }
-
-    /// All-zero statistics: what a query that never executed reports. The
-    /// serving pool uses this for shed and failed submission slots so the
-    /// per-query vector keeps its submission-order shape.
-    pub fn zeroed() -> RunStats {
-        RunStats {
-            est_ms: 0.0,
-            cycles: 0.0,
-            launches: 0,
-            tally: Tally::default(),
-            mem: MemStats::default(),
-            allocated_bytes: 0,
-            partition_faults: 0,
-            partition_evictions: 0,
-            transfer_ms: 0.0,
-            push_steps: 0,
-            pull_steps: 0,
-            pushed_edges: 0,
-            pulled_edges: 0,
-            exchange_ms: 0.0,
-            boundary_nodes: 0,
-            sync_steps: 0,
-            faults_injected: 0,
-            retries: 0,
-            backoff_ms: 0.0,
-        }
     }
 
     /// The statistics accumulated since `earlier` — a snapshot taken on the

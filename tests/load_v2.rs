@@ -13,7 +13,8 @@
 //!   one zero-copy allocation.
 //! * The `graph_compressed` builder path rejects conflicting options with
 //!   typed errors, and a deferred-validation load of a corrupt buffer
-//!   fails at session build with `SessionError::CorruptGraph`.
+//!   fails at session build with `SessionError::CorruptGraph` — except on
+//!   the single-device streamer, which defers it to first touch.
 
 use gcgt::cgr::io;
 use gcgt::prelude::{
@@ -317,29 +318,31 @@ fn graph_compressed_conflicts_are_typed_errors() {
     );
 }
 
+/// A copy of `buf` with one payload bit flipped such that the deferred
+/// load's structural header checks pass but full validation fails — the
+/// same search the io unit tests use, over the real workload buffer.
+fn deferred_only_corruption(buf: &[u8]) -> Vec<u8> {
+    let payload_start = buf.len() - 64; // deep inside the payload section
+    for byte in payload_start..buf.len() {
+        for bit in 0..8u8 {
+            let mut c = buf.to_vec();
+            c[byte] ^= 1 << bit;
+            if CgrGraph::from_bytes(&c).is_err()
+                && io::read_cgr_with(&c[..], ValidationMode::Deferred).is_ok()
+            {
+                return c;
+            }
+        }
+    }
+    panic!("some payload flip is caught by validation only");
+}
+
 #[test]
 fn deferred_corruption_surfaces_as_corrupt_graph_at_build() {
     let (g, cfg) = workload();
     let buf = v2_buffer(&CgrGraph::encode(&g, &cfg));
-
-    // Find a payload flip that passes the deferred load's structural
-    // header checks but fails full validation — the same search the io
-    // unit tests use, over the real workload buffer.
-    let payload_start = buf.len() - 64; // deep inside the payload section
-    let mut corrupt = None;
-    'search: for byte in payload_start..buf.len() {
-        for bit in 0..8u8 {
-            let mut c = buf.clone();
-            c[byte] ^= 1 << bit;
-            if CgrGraph::from_bytes(&c).is_err() {
-                if let Ok(cgr) = io::read_cgr_with(&c[..], ValidationMode::Deferred) {
-                    corrupt = Some(cgr);
-                    break 'search;
-                }
-            }
-        }
-    }
-    let cgr = corrupt.expect("some payload flip is caught by validation only");
+    let corrupt = deferred_only_corruption(&buf);
+    let cgr = io::read_cgr_with(&corrupt[..], ValidationMode::Deferred).unwrap();
 
     // The session decodes a full CSR mirror, so the deferred graph is
     // proven at build — and the corruption becomes a typed error instead
@@ -349,4 +352,41 @@ fn deferred_corruption_surfaces_as_corrupt_graph_at_build() {
         matches!(err, Some(SessionError::CorruptGraph(_))),
         "{err:?}"
     );
+}
+
+/// Only the single-device streamer defers validation to first touch. A
+/// sharded session's exchange accounting reads the CSR mirror's adjacency,
+/// so a mirror that skipped a corrupt region would silently falsify it:
+/// sharded streaming builds validate in full, at any device count.
+#[test]
+fn deferred_corruption_is_lazy_only_for_the_unsharded_streamer() {
+    let (g, cfg) = workload();
+    let buf = v2_buffer(&CgrGraph::encode(&g, &cfg));
+    let corrupt = deferred_only_corruption(&buf);
+
+    let incore = Session::builder().graph(g).build().unwrap();
+    let budget =
+        (incore.footprint() - incore.structure_bytes()) + (incore.structure_bytes() / 4).max(1);
+    let build = |shards: Option<usize>| {
+        let mut b = Session::builder()
+            .graph_compressed(io::read_cgr_with(&corrupt[..], ValidationMode::Deferred).unwrap())
+            .memory_budget(budget)
+            .engine(EngineKind::OutOfCore {
+                inner: Strategy::Full,
+            });
+        if let Some(devices) = shards {
+            b = b.shards(devices);
+        }
+        b.build()
+    };
+
+    let lazy = build(None).expect("the unsharded streamer defers the corruption");
+    assert!(lazy.is_streaming());
+    for devices in [1, 2] {
+        let err = build(Some(devices)).err();
+        assert!(
+            matches!(err, Some(SessionError::CorruptGraph(_))),
+            "{devices} shards: {err:?}"
+        );
+    }
 }

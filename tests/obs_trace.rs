@@ -7,7 +7,6 @@
 use gcgt::bench::trace::smoke;
 use gcgt::prelude::*;
 use gcgt::serve::ServeStats;
-use gcgt::simt::{MemStats, Tally};
 use proptest::prelude::{prop_assert, proptest, Strategy as PropStrategy};
 
 /// The smoke trace must match the committed fixture byte for byte. If an
@@ -45,7 +44,7 @@ fn execution_trace_is_identical_across_worker_counts() {
 fn observer_never_perturbs_results() {
     let graph = web_graph(&WebParams::uk2002_like(400), 11);
     let device = DeviceConfig::titan_v_scaled(8 << 20);
-    let build = |observed: bool, kind: EngineKind, budget: Option<usize>| {
+    let build = |observed: bool, kind: EngineKind, budget: Option<usize>, shards: Option<usize>| {
         let mut b = Session::builder()
             .graph(graph.clone())
             .reorder(Reordering::Llp(LlpConfig::default()))
@@ -53,6 +52,9 @@ fn observer_never_perturbs_results() {
             .engine(kind);
         if let Some(bytes) = budget {
             b = b.memory_budget(bytes);
+        }
+        if let Some(devices) = shards {
+            b = b.shards(devices);
         }
         if observed {
             b = b.observer(ObserverHandle::new(FanoutObserver::new(vec![
@@ -69,19 +71,20 @@ fn observer_never_perturbs_results() {
         .build()
         .unwrap();
     let tight = incore.footprint() * 2 / 3;
-    let shapes: Vec<(EngineKind, Option<usize>)> = vec![
-        (EngineKind::Gcgt(Strategy::Full), None),
+    let shapes: Vec<(EngineKind, Option<usize>, Option<usize>)> = vec![
+        (EngineKind::Gcgt(Strategy::Full), None, None),
         (
             EngineKind::OutOfCore {
                 inner: Strategy::Full,
             },
             Some(tight),
+            None,
         ),
-        (EngineKind::Gcgt(Strategy::Full).sharded(4), None),
+        (EngineKind::Gcgt(Strategy::Full), None, Some(4)),
     ];
-    for (kind, budget) in shapes {
-        let plain = build(false, kind, budget);
-        let observed = build(true, kind, budget);
+    for (kind, budget, shards) in shapes {
+        let plain = build(false, kind, budget, shards);
+        let observed = build(true, kind, budget, shards);
         let a = plain.run(Bfs::from(0));
         let b = observed.run(Bfs::from(0));
         assert_eq!(a.output.depth, b.output.depth, "{}", kind.name());
@@ -142,24 +145,10 @@ fn since_deltas_compose_across_batched_queries() {
 fn rs(est: f64, transfer: f64, exchange: f64) -> RunStats {
     RunStats {
         est_ms: est,
-        cycles: 0.0,
         launches: 1,
-        tally: Tally::default(),
-        mem: MemStats::default(),
-        allocated_bytes: 0,
-        partition_faults: 0,
-        partition_evictions: 0,
         transfer_ms: transfer,
-        push_steps: 0,
-        pull_steps: 0,
-        pushed_edges: 0,
-        pulled_edges: 0,
         exchange_ms: exchange,
-        boundary_nodes: 0,
-        sync_steps: 0,
-        faults_injected: 0,
-        retries: 0,
-        backoff_ms: 0.0,
+        ..RunStats::default()
     }
 }
 
